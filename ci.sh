@@ -90,6 +90,10 @@ for field in cycles_per_request energy_nj_per_request; do
         || { echo "FAIL: BENCH_backend.json lacks the $field field"; exit 1; }
 done
 
+echo "==> repo benchmark builds and gates cycle_hil (served Cycle bits == infer_forked, cycles/image == Schedule)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload cycle_hil --seed 1 --seconds 1 --trace 0
+
 echo "==> VIBNN_SCALE=quick online bench (drift loop, asserts report bit-identity and adaptive >= baseline)"
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_online.json" \
     cargo run --release -p vibnn_bench --bin bench_online

@@ -1,8 +1,9 @@
 //! Machine-readable backend benchmark: writes `BENCH_backend.json`.
 //!
 //! Compares the three [`vibnn::backend::InferenceBackend`] implementations
-//! — software float, quantized host (the default), and the cycle-ticked
-//! accelerator model — on the same deployment and request stream, at
+//! — software float, quantized host (the default), and the cycle
+//! backend (the quantized kernel priced by the accelerator's `Schedule`)
+//! — on the same deployment and request stream, at
 //! micro-batch sizes {1, 8, 32}. Reports requests/sec plus the hardware
 //! ledger per request: cycles/request and nJ/request from the
 //! [`vibnn::backend::BackendCost`] the engine accumulates (zero for host

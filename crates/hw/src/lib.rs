@@ -40,4 +40,4 @@ pub use config::{AcceleratorConfig, ConfigError};
 pub use controller::{LayerCycles, Schedule};
 pub use quantized::{QuantizationSpec, QuantizedBnn};
 pub use resources::{GrngResources, DEVICE_RAM_BLOCKS, ResourceModel, SystemResources, PAPER_RLF_GRNG_64, PAPER_RLF_SYSTEM, PAPER_WALLACE_GRNG_64, PAPER_WALLACE_SYSTEM};
-pub use sim::{CycleAccelerator, RequestCost, SimStats};
+pub use sim::{softmax_f64, CycleAccelerator, RequestCost, SimStats};

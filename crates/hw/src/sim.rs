@@ -154,10 +154,11 @@ impl CycleAccelerator {
         (out, costs)
     }
 
-    /// Serving entry point: runs one image through all configured MC
-    /// samples where sample `s` draws its weights from the substream
-    /// `eps.fork(s)` — the same per-sample forking convention the
-    /// software and quantized-host serving paths use. Because each row
+    /// Serving oracle: runs one image through all configured MC samples
+    /// where sample `s` draws its weights from the substream
+    /// `eps.fork(s)` — the same per-sample forking convention every
+    /// serving backend uses, so the cycle backend's served bits and cost
+    /// are pinned equal to this method's. Because each row
     /// re-derives every sample's substream from scratch, results are
     /// independent of batch composition and arrival order.
     ///
@@ -176,7 +177,7 @@ impl CycleAccelerator {
         for s in 0..self.cfg.mc_samples {
             let mut eps_s = eps.fork(s as u64);
             let logits = self.infer_sample(input, &mut eps_s);
-            let probs = softmax(&logits);
+            let probs = softmax_f64(&logits);
             for (a, &p) in acc.iter_mut().zip(&probs) {
                 *a += p;
             }
@@ -192,27 +193,6 @@ impl CycleAccelerator {
             energy_nj: self.energy_nj(cycles),
         };
         (probs, members, cost)
-    }
-
-    /// One Monte Carlo member of [`Self::infer_forked`], on demand:
-    /// runs `input` through sample `sample`, drawing weights from the
-    /// substream `eps.fork(sample)` — exactly the member that
-    /// `infer_forked` would compute at that position — and returns its
-    /// softmax probability vector. Calling this for `sample` in
-    /// `0..mc_samples` and averaging reproduces `infer_forked` bit for
-    /// bit; stopping earlier reproduces a deployment configured with
-    /// that smaller sample count. Cycle and memory counters accumulate
-    /// as usual, so callers can attribute per-sample cost through
-    /// [`Self::stats`] deltas and [`Self::energy_nj`].
-    pub fn infer_sample_forked<S: StreamFork>(
-        &mut self,
-        input: &[f32],
-        sample: u64,
-        eps: &S,
-    ) -> Vec<f64> {
-        let mut eps_s = eps.fork(sample);
-        let logits = self.infer_sample(input, &mut eps_s);
-        softmax(&logits)
     }
 
     /// System power draw in watts for this deployment under the
@@ -238,7 +218,7 @@ impl CycleAccelerator {
         let mut acc = vec![0.0f64; classes];
         for _ in 0..self.cfg.mc_samples {
             let logits = self.infer_sample(input, eps_src);
-            let probs = softmax(&logits);
+            let probs = softmax_f64(&logits);
             for (a, p) in acc.iter_mut().zip(probs) {
                 *a += p;
             }
@@ -325,7 +305,11 @@ impl CycleAccelerator {
     }
 }
 
-fn softmax(logits: &[f32]) -> Vec<f64> {
+/// The host-side softmax applied to the accelerator's dequantized
+/// logits: max-shifted in f32, exponentiated and normalized in f64. This
+/// is the Monte Carlo member every cycle-model consumer averages, so the
+/// serving backend and the ticked oracle share it rather than copy it.
+pub fn softmax_f64(logits: &[f32]) -> Vec<f64> {
     let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let exps: Vec<f64> = logits.iter().map(|&v| f64::from(v - max).exp()).collect();
     let sum: f64 = exps.iter().sum();

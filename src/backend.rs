@@ -13,10 +13,12 @@
 //!   always used ([`QuantizedBnn::predict_proba_mc_members_parallel`]).
 //!   This is the **default**; its results are bit-identical to the
 //!   pre-backend serving engine.
-//! - [`CycleBackend`] — hardware in the loop: every request runs
-//!   through the cycle-ticked [`CycleAccelerator`], and the batch comes
-//!   back with exact cycle counts and energy (nJ) charged under the
-//!   [`vibnn_hw::power`] system model.
+//! - [`CycleBackend`] — the accelerator's datapath and ledger: the
+//!   same quantized kernel, with the simulator's f64 softmax and mean,
+//!   and each row charged the closed-form [`vibnn_hw::Schedule`] cycles
+//!   for the samples it drew plus the energy those cycles dissipate
+//!   under the [`vibnn_hw::power`] model. Answers and costs are pinned
+//!   equal to the ticked [`CycleAccelerator`], which stays the oracle.
 //!
 //! # Determinism
 //!
@@ -33,17 +35,18 @@
 //!
 //! Every micro-batch returns a [`BackendCost`]. The software and
 //! quantized hosts charge zero cycles/energy (they are host code, not
-//! modeled hardware); the cycle backend charges the exact simulated
-//! cycles and the energy those cycles dissipate at the configured
-//! clock. Costs accumulate per engine and per cluster replica, surface
-//! in `ClusterMetrics`, and travel over the ingest wire.
+//! modeled hardware); the cycle backend charges `Schedule` cycles per
+//! sample drawn — what the ticked model counts, pinned by tests — and
+//! the energy those cycles dissipate at the configured clock. Costs
+//! accumulate per engine and per cluster replica, surface in
+//! `ClusterMetrics`, and travel over the ingest wire.
 
 use vibnn_bnn::{reduce_mean, BnnParams};
 use vibnn_grng::{GaussianSource, StreamFork};
-use vibnn_hw::{CycleAccelerator, QuantizedBnn};
+use vibnn_hw::{softmax_f64, CycleAccelerator, QuantizedBnn, Schedule};
 use vibnn_nn::{relu, softmax_rows, Matrix, LANES};
 
-use crate::sampler::{RowTracker, SampleDecision, SamplingPolicy};
+use crate::sampler::{ExactN, RowTracker, SampleDecision, SamplingPolicy};
 use crate::serve::ServeResult;
 use crate::{Vibnn, VibnnError};
 
@@ -72,7 +75,8 @@ pub enum BackendKind {
     /// Quantized host path — the historical serving datapath.
     #[default]
     Quantized,
-    /// Cycle-ticked accelerator model with cycle/energy accounting.
+    /// The accelerator's datapath: the quantized kernel, charged the
+    /// closed-form `Schedule` cycles and their energy.
     Cycle,
 }
 
@@ -264,11 +268,6 @@ pub trait InferenceBackend<S: StreamFork + Sync>: Send {
     /// and `workers`. A row that stops after `n` samples returns
     /// exactly what [`Self::serve_microbatch`] would return for that
     /// row with `samples = n`.
-    ///
-    /// The default implementation is a non-adaptive fallback for
-    /// backends without an incremental datapath: it runs the full
-    /// budget through [`Self::serve_microbatch`] and never abstains.
-    /// All built-in backends override it with a true early-exit path.
     fn serve_adaptive(
         &mut self,
         chunk: &Matrix,
@@ -276,30 +275,34 @@ pub trait InferenceBackend<S: StreamFork + Sync>: Send {
         max_samples: usize,
         eps: &S,
         workers: usize,
-    ) -> (Vec<RowOutcome>, BackendCost) {
-        let _ = policy;
-        let (results, cost) = self.serve_microbatch(chunk, max_samples, eps, workers);
-        (results.into_iter().map(RowOutcome::Served).collect(), cost)
-    }
+    ) -> (Vec<RowOutcome>, BackendCost);
 }
 
-/// Drives the adaptive sampling loop for the host (software/quantized)
-/// backends: `member_for(s, active)` computes sample `s`'s softmax
-/// member for the still-active rows, each row's [`RowTracker`] folds in
-/// its member, and the policy decides per row. Stopped rows are dropped
-/// from subsequent member evaluations (that is the speedup), and a
-/// finished row's result is rebuilt from its own flat member history
-/// through [`result_from_history`] — the same arithmetic as the batched
-/// path, which is element-wise per row, so stopping one row never
-/// perturbs another. Returns the outcomes plus total samples drawn.
-fn drive_adaptive_rows<F>(
+/// The one Monte Carlo driver behind every backend's adaptive path
+/// (and the cycle backend's `ExactN` path). A backend supplies two
+/// things: `members_for(s, active, out)`, which appends sample `s`'s
+/// softmax member for each still-active row to `out` (row-major, one
+/// probability per class), and `mean_of`, its rule for turning one row's
+/// flat member history (`samples × classes`) into the served mean.
+///
+/// Each row's [`RowTracker`] folds in its member and the policy decides
+/// per row; stopped rows are dropped from later member evaluations
+/// (that is the speedup). A finished row's result is rebuilt from its
+/// own history, element-wise per row, so stopping one row never
+/// perturbs another. `charge(n)` prices a row that drew `n` samples;
+/// the batch cost folds those charges in row order.
+fn drive_adaptive_rows<M, A, C>(
     chunk: &Matrix,
     policy: &dyn SamplingPolicy,
     max_samples: usize,
-    mut member_for: F,
-) -> (Vec<RowOutcome>, u64)
+    mut members_for: M,
+    mean_of: A,
+    charge: C,
+) -> (Vec<RowOutcome>, BackendCost)
 where
-    F: FnMut(usize, &Matrix) -> Matrix,
+    M: FnMut(usize, &Matrix, &mut Vec<f64>),
+    A: Fn(&[f64], usize) -> Vec<f32>,
+    C: Fn(u64) -> BackendCost,
 {
     assert!(max_samples > 0, "need at least one Monte Carlo sample");
     let rows = chunk.rows();
@@ -307,26 +310,27 @@ where
     let mut trackers: Vec<RowTracker> = Vec::new();
     // Row r's sample k occupies histories[r][k*classes..(k+1)*classes];
     // one flat buffer per row keeps the hot loop allocation-free.
-    let mut histories: Vec<Vec<f32>> = vec![Vec::new(); rows];
+    let mut histories: Vec<Vec<f64>> = vec![Vec::new(); rows];
     let mut abstained: Vec<bool> = vec![false; rows];
     let mut active: Vec<usize> = (0..rows).collect();
     let mut sub = Matrix::zeros(0, 0);
-    let mut drawn_total = 0u64;
+    let mut member: Vec<f64> = Vec::new();
     for s in 0..max_samples {
         if active.is_empty() {
             break;
         }
-        let member = if active.len() == rows {
-            member_for(s, chunk)
+        member.clear();
+        if active.len() == rows {
+            members_for(s, chunk, &mut member);
         } else {
             sub.resize(active.len(), chunk.cols());
             for (i, &r) in active.iter().enumerate() {
                 sub.row_mut(i).copy_from_slice(chunk.row(r));
             }
-            member_for(s, &sub)
-        };
+            members_for(s, &sub, &mut member);
+        }
         if trackers.is_empty() {
-            classes = member.cols();
+            classes = member.len() / active.len();
             trackers = (0..rows)
                 .map(|_| RowTracker::new(classes, max_samples))
                 .collect();
@@ -334,12 +338,10 @@ where
                 h.reserve_exact(classes * max_samples);
             }
         }
-        drawn_total += active.len() as u64;
         let mut still = Vec::with_capacity(active.len());
-        for (i, &r) in active.iter().enumerate() {
-            let probs = member.row(i);
+        for (probs, &r) in member.chunks_exact(classes).zip(&active) {
             histories[r].extend_from_slice(probs);
-            let obs = trackers[r].observe_f32(probs);
+            let obs = trackers[r].observe(probs);
             match policy.decide(&obs) {
                 SampleDecision::Continue | SampleDecision::Escalate => still.push(r),
                 SampleDecision::Stop => {}
@@ -348,69 +350,90 @@ where
         }
         active = still;
     }
+    let mut cost = BackendCost::default();
     let out = histories
         .iter()
         .enumerate()
         .map(|(r, history)| {
+            let samples = history.len() / classes;
+            cost.accumulate(charge(samples as u64));
             if abstained[r] {
                 RowOutcome::Abstained {
                     id: r as u64,
-                    samples_used: (history.len() / classes) as u32,
+                    samples_used: samples as u32,
                     entropy_milli: trackers[r].entropy_milli(),
                 }
             } else {
-                let mut res = result_from_history(history, classes);
-                res.id = r as u64;
-                RowOutcome::Served(res)
+                let proba = mean_of(history, classes);
+                RowOutcome::Served(summarize(r, proba, samples, |k, c| {
+                    history[k * classes + c]
+                }))
             }
         })
         .collect();
-    (out, drawn_total)
+    (out, cost)
 }
 
-/// Builds one row's [`ServeResult`] from its flat member history
-/// (`samples × classes`, row-major), with the mean derived through the
-/// same fixed-lane rule as [`reduce_mean`] — lane `l` folds members
-/// `l, l+LANES, …` element-wise and lanes combine in ascending order,
-/// then one reciprocal multiply — so an adaptive row's result is
+/// The host backends' mean rule over one row's member history: the
+/// fixed-lane rule of [`reduce_mean`] — lane `l` folds members `l,
+/// l+LANES, …` element-wise in f32, lanes combine in ascending order,
+/// then one reciprocal multiply. Host members are f32 widened to f64,
+/// so narrowing them back is exact and an adaptive row's mean is
 /// bit-identical to the batched path at the same member count.
-fn result_from_history(history: &[f32], classes: usize) -> ServeResult {
+fn lane_mean(history: &[f64], classes: usize) -> Vec<f32> {
     let samples = history.len() / classes;
-    debug_assert!(samples > 0 && history.len() == samples * classes);
-    let mut proba: Vec<f32> = history[..classes].to_vec();
-    if samples <= LANES {
-        for k in 1..samples {
-            for (c, p) in proba.iter_mut().enumerate() {
-                *p += history[k * classes + c];
+    let member = |k: usize| history[k * classes..(k + 1) * classes].iter().map(|&p| p as f32);
+    let mut lanes = (0..LANES.min(samples)).map(|l| {
+        let mut lane: Vec<f32> = member(l).collect();
+        for k in (l + LANES..samples).step_by(LANES) {
+            for (v, p) in lane.iter_mut().zip(member(k)) {
+                *v += p;
             }
         }
-    } else {
-        let mut k = LANES;
-        while k < samples {
-            for (c, p) in proba.iter_mut().enumerate() {
-                *p += history[k * classes + c];
-            }
-            k += LANES;
-        }
-        let mut lane = vec![0.0f32; classes];
-        for l in 1..LANES {
-            lane.copy_from_slice(&history[l * classes..(l + 1) * classes]);
-            let mut k = l + LANES;
-            while k < samples {
-                for (c, v) in lane.iter_mut().enumerate() {
-                    *v += history[k * classes + c];
-                }
-                k += LANES;
-            }
-            for (c, p) in proba.iter_mut().enumerate() {
-                *p += lane[c];
-            }
+        lane
+    });
+    let mut proba = lanes.next().expect("at least one member");
+    for lane in lanes {
+        for (p, v) in proba.iter_mut().zip(lane) {
+            *p += v;
         }
     }
     let recip = 1.0 / samples as f32;
     for p in &mut proba {
         *p *= recip;
     }
+    proba
+}
+
+/// The cycle backend's mean rule: the simulator's own arithmetic, one
+/// f64 accumulation chain per class over members in sample order, then
+/// cast to f32 — what [`CycleAccelerator::infer_forked`] serves for a
+/// deployment with that many samples.
+fn chain_mean(history: &[f64], classes: usize) -> Vec<f32> {
+    let samples = history.len() / classes;
+    (0..classes)
+        .map(|c| {
+            let mut acc = 0.0f64;
+            for k in 0..samples {
+                acc += history[k * classes + c];
+            }
+            (acc / samples as f64) as f32
+        })
+        .collect()
+}
+
+/// Builds row `id`'s [`ServeResult`] from its mean probabilities and its
+/// `samples` Monte Carlo members, where `member(k, c)` is member `k`'s
+/// probability of class `c`: the argmax (lowest index wins ties), the
+/// entropy of the mean, and `mc_std`, the class-averaged standard
+/// deviation of the members, each class's squares summed in ascending
+/// `k`.
+fn summarize(
+    id: usize,
+    proba: Vec<f32>,
+    samples: usize,
+    member: impl Fn(usize, usize) -> f64,
+) -> ServeResult {
     let mut argmax = 0;
     for (c, &p) in proba.iter().enumerate() {
         if p > proba[argmax] {
@@ -422,16 +445,16 @@ fn result_from_history(history: &[f32], classes: usize) -> ServeResult {
     for (c, &m) in proba.iter().enumerate() {
         let mean_c = f64::from(m);
         let var = (0..samples)
-            .map(|k| (f64::from(history[k * classes + c]) - mean_c).powi(2))
+            .map(|k| (member(k, c) - mean_c).powi(2))
             .sum::<f64>()
             / samples as f64;
         std_sum += var.sqrt();
     }
     ServeResult {
-        id: 0,
+        id: id as u64,
         argmax,
         entropy,
-        mc_std: std_sum / classes as f64,
+        mc_std: std_sum / proba.len() as f64,
         samples_used: samples as u32,
         proba,
     }
@@ -444,36 +467,22 @@ fn result_from_history(history: &[f32], classes: usize) -> ServeResult {
 /// backends stay bit-compatible with it.
 fn results_from_members(members: &[Matrix], samples: usize) -> Vec<ServeResult> {
     let mean = reduce_mean(members);
-    let mut out = Vec::with_capacity(mean.rows());
-    for r in 0..mean.rows() {
-        let proba = mean.row(r).to_vec();
-        let mut argmax = 0;
-        for (c, &p) in proba.iter().enumerate() {
-            if p > proba[argmax] {
-                argmax = c;
-            }
-        }
-        let entropy = entropy_nats(&proba);
-        let mut std_sum = 0.0f64;
-        for (c, &m) in proba.iter().enumerate() {
-            let mean_c = f64::from(m);
-            let var = members
-                .iter()
-                .map(|s| (f64::from(s[(r, c)]) - mean_c).powi(2))
-                .sum::<f64>()
-                / samples as f64;
-            std_sum += var.sqrt();
-        }
-        out.push(ServeResult {
-            id: r as u64,
-            argmax,
-            entropy,
-            mc_std: std_sum / proba.len() as f64,
-            samples_used: samples as u32,
-            proba,
-        });
+    (0..mean.rows())
+        .map(|r| {
+            summarize(r, mean.row(r).to_vec(), samples, |k, c| {
+                f64::from(members[k][(r, c)])
+            })
+        })
+        .collect()
+}
+
+/// A host backend's charge for `samples` Monte Carlo samples: no
+/// modeled hardware, so no cycles or energy.
+fn host_cost(samples: u64) -> BackendCost {
+    BackendCost {
+        samples,
+        ..BackendCost::default()
     }
-    out
 }
 
 /// Predictive entropy of a probability row, in nats.
@@ -523,12 +532,7 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for QuantizedBackend {
             .qbnn
             .predict_proba_mc_members_parallel(chunk, samples, eps, workers);
         let results = results_from_members(&members, samples);
-        let cost = BackendCost {
-            cycles: 0,
-            energy_nj: 0.0,
-            samples: (chunk.rows() * samples) as u64,
-        };
-        (results, cost)
+        (results, host_cost((chunk.rows() * samples) as u64))
     }
 
     fn serve_adaptive(
@@ -544,19 +548,14 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for QuantizedBackend {
         // apply here; sample `s` still draws from `eps.fork(s)` with
         // the weights sampled once per member for every active row.
         let mut scratch: Vec<f64> = Vec::new();
-        let (out, drawn) = drive_adaptive_rows(chunk, policy, max_samples, |s, active| {
+        let members_for = |s: usize, active: &Matrix, out: &mut Vec<f64>| {
             let mut src = eps.fork(s as u64);
             let weights = self.qbnn.sample_weights_with(&mut src, &mut scratch);
             let mut probs = self.qbnn.forward_with_weights(active, &weights);
             softmax_rows(&mut probs);
-            probs
-        });
-        let cost = BackendCost {
-            cycles: 0,
-            energy_nj: 0.0,
-            samples: drawn,
+            out.extend(probs.data().iter().map(|&p| f64::from(p)));
         };
-        (out, cost)
+        drive_adaptive_rows(chunk, policy, max_samples, members_for, lane_mean, host_cost)
     }
 }
 
@@ -643,12 +642,7 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for SoftwareBackend {
             |_, src, scratch: &mut Vec<f32>| self.sample_member(chunk, src, scratch),
         );
         let results = results_from_members(&members, samples);
-        let cost = BackendCost {
-            cycles: 0,
-            energy_nj: 0.0,
-            samples: (chunk.rows() * samples) as u64,
-        };
-        (results, cost)
+        (results, host_cost((chunk.rows() * samples) as u64))
     }
 
     fn serve_adaptive(
@@ -663,43 +657,55 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for SoftwareBackend {
         // note); sample `s` forks `eps.fork(s)` exactly as
         // `parallel_fork_map` does on the batched path.
         let mut scratch: Vec<f32> = Vec::new();
-        let (out, drawn) = drive_adaptive_rows(chunk, policy, max_samples, |s, active| {
+        let members_for = |s: usize, active: &Matrix, out: &mut Vec<f64>| {
             let mut src = eps.fork(s as u64);
-            self.sample_member(active, &mut src, &mut scratch)
-        });
-        let cost = BackendCost {
-            cycles: 0,
-            energy_nj: 0.0,
-            samples: drawn,
+            let probs = self.sample_member(active, &mut src, &mut scratch);
+            out.extend(probs.data().iter().map(|&p| f64::from(p)));
         };
-        (out, cost)
+        drive_adaptive_rows(chunk, policy, max_samples, members_for, lane_mean, host_cost)
     }
 }
 
-/// Hardware in the loop: every request runs through the cycle-ticked
-/// [`CycleAccelerator`] ([`CycleAccelerator::infer_forked`], so sample
-/// `s` of any request draws from `eps.fork(s)` exactly like the host
-/// backends), and the batch cost carries the exact simulated cycles
-/// plus the energy they dissipate under the [`vibnn_hw::power`] model.
+/// The accelerator's datapath and cost ledger, served through the same
+/// quantized kernel as [`QuantizedBackend`]. Sample `s` samples weights
+/// once from `eps.fork(s)` for the whole micro-batch and runs
+/// [`QuantizedBnn::forward_with_weights`] over the rows still active;
+/// each member is the simulator's [`softmax_f64`] of the integer logits
+/// and the mean is the simulator's f64 chain, so served bits equal
+/// [`CycleAccelerator::infer_forked`] for a deployment with that many
+/// samples. A row that drew `n` samples is charged `n ×`
+/// [`Schedule::cycles_per_sample`] cycles and the simulator's energy for
+/// them ([`CycleAccelerator::energy_nj`]) — exactly what the ticked
+/// model counts, which the tests pin.
 ///
-/// Rows run sequentially on the single modeled accelerator — `workers`
-/// is ignored — but results remain independent of batch composition
-/// because each row re-derives its substreams from scratch.
+/// Both `ExactN` and adaptive policies run through the one adaptive
+/// driver; `workers` is ignored because sample `s + 1` waits on the
+/// stopping decision after sample `s`.
 #[derive(Debug, Clone)]
 pub struct CycleBackend {
     sim: CycleAccelerator,
+    cycles_per_sample: u64,
 }
 
 impl CycleBackend {
-    /// Wraps a ticking accelerator model.
+    /// Wraps an accelerator model: its network is the kernel, its
+    /// configuration sets the [`Schedule`], and its power model prices
+    /// energy.
     pub fn new(sim: CycleAccelerator) -> Self {
-        Self { sim }
+        let cycles_per_sample = cycles_per_sample(&sim);
+        Self {
+            sim,
+            cycles_per_sample,
+        }
     }
+}
 
-    /// The wrapped simulator (cumulative [`vibnn_hw::SimStats`]).
-    pub fn simulator(&self) -> &CycleAccelerator {
-        &self.sim
-    }
+/// Cycles one Monte Carlo sample of one image takes on `sim`'s
+/// accelerator: the closed-form [`Schedule`], which the ticked model is
+/// pinned to. The cycle backend charges by it and the cluster's
+/// admission gate predicts with it.
+pub(crate) fn cycles_per_sample(sim: &CycleAccelerator) -> u64 {
+    Schedule::new(sim.config(), &sim.network().layer_sizes()).cycles_per_sample()
 }
 
 impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
@@ -712,45 +718,14 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
         chunk: &Matrix,
         samples: usize,
         eps: &S,
-        _workers: usize,
+        workers: usize,
     ) -> (Vec<ServeResult>, BackendCost) {
-        let mut out = Vec::with_capacity(chunk.rows());
-        let mut cost = BackendCost::default();
-        for r in 0..chunk.rows() {
-            let (proba, members, row_cost) = self.sim.infer_forked(chunk.row(r), eps);
-            let mut argmax = 0;
-            for (c, &p) in proba.iter().enumerate() {
-                if p > proba[argmax] {
-                    argmax = c;
-                }
-            }
-            let entropy = entropy_nats(&proba);
-            let mut std_sum = 0.0f64;
-            for (c, &m) in proba.iter().enumerate() {
-                let mean_c = f64::from(m);
-                let var = members
-                    .iter()
-                    .map(|s| (s[c] - mean_c).powi(2))
-                    .sum::<f64>()
-                    / members.len() as f64;
-                std_sum += var.sqrt();
-            }
-            cost.accumulate(BackendCost {
-                cycles: row_cost.cycles,
-                energy_nj: row_cost.energy_nj,
-                samples: members.len() as u64,
-            });
-            out.push(ServeResult {
-                id: r as u64,
-                argmax,
-                entropy,
-                mc_std: std_sum / proba.len() as f64,
-                samples_used: members.len() as u32,
-                proba,
-            });
-        }
-        let _ = samples; // the simulator's configured MC count governs
-        (out, cost)
+        let (out, cost) = self.serve_adaptive(chunk, &ExactN, samples, eps, workers);
+        let results = out
+            .into_iter()
+            .map(|o| o.into_result().expect("ExactN never abstains"))
+            .collect();
+        (results, cost)
     }
 
     fn serve_adaptive(
@@ -761,88 +736,25 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
         eps: &S,
         _workers: usize,
     ) -> (Vec<RowOutcome>, BackendCost) {
-        assert!(max_samples > 0, "need at least one Monte Carlo sample");
-        let mut out = Vec::with_capacity(chunk.rows());
-        let mut cost = BackendCost::default();
-        for r in 0..chunk.rows() {
-            let before = self.sim.stats().cycles;
-            let mut tracker: Option<RowTracker> = None;
-            let mut acc: Vec<f64> = Vec::new();
-            let mut members: Vec<Vec<f64>> = Vec::new();
-            let mut abstained = false;
-            loop {
-                let s = members.len() as u64;
-                let probs = self.sim.infer_sample_forked(chunk.row(r), s, eps);
-                let t = tracker
-                    .get_or_insert_with(|| RowTracker::new(probs.len(), max_samples));
-                let obs = t.observe(&probs);
-                if acc.is_empty() {
-                    acc = vec![0.0f64; probs.len()];
-                }
-                for (a, &p) in acc.iter_mut().zip(&probs) {
-                    *a += p;
-                }
-                members.push(probs);
-                match policy.decide(&obs) {
-                    SampleDecision::Continue | SampleDecision::Escalate => {
-                        if members.len() >= max_samples {
-                            break; // clamp a policy that never stops
-                        }
-                    }
-                    SampleDecision::Stop => break,
-                    SampleDecision::Abstain => {
-                        abstained = true;
-                        break;
-                    }
-                }
+        let qbnn = self.sim.network();
+        let mut scratch: Vec<f64> = Vec::new();
+        let members_for = |s: usize, active: &Matrix, out: &mut Vec<f64>| {
+            let mut src = eps.fork(s as u64);
+            let weights = qbnn.sample_weights_with(&mut src, &mut scratch);
+            let logits = qbnn.forward_with_weights(active, &weights);
+            for r in 0..logits.rows() {
+                out.extend(softmax_f64(logits.row(r)));
             }
-            let n = members.len();
-            let cycles = self.sim.stats().cycles - before;
-            cost.accumulate(BackendCost {
+        };
+        let charge = |samples: u64| {
+            let cycles = samples * self.cycles_per_sample;
+            BackendCost {
                 cycles,
                 energy_nj: self.sim.energy_nj(cycles),
-                samples: n as u64,
-            });
-            let tracker = tracker.expect("at least one sample");
-            if abstained {
-                out.push(RowOutcome::Abstained {
-                    id: r as u64,
-                    samples_used: n as u32,
-                    entropy_milli: tracker.entropy_milli(),
-                });
-                continue;
+                samples,
             }
-            // The mean is the simulator's own arithmetic: a single f64
-            // accumulation chain over members, truncated to f32 — what
-            // `infer_forked` computes for a deployment with `n` samples.
-            let proba: Vec<f32> = acc.iter().map(|&v| (v / n as f64) as f32).collect();
-            let mut argmax = 0;
-            for (c, &p) in proba.iter().enumerate() {
-                if p > proba[argmax] {
-                    argmax = c;
-                }
-            }
-            let entropy = entropy_nats(&proba);
-            let mut std_sum = 0.0f64;
-            for (c, &m) in proba.iter().enumerate() {
-                let mean_c = f64::from(m);
-                let var = members
-                    .iter()
-                    .map(|s| (s[c] - mean_c).powi(2))
-                    .sum::<f64>()
-                    / n as f64;
-                std_sum += var.sqrt();
-            }
-            out.push(RowOutcome::Served(ServeResult {
-                id: r as u64,
-                argmax,
-                entropy,
-                mc_std: std_sum / proba.len() as f64,
-                samples_used: n as u32,
-                proba,
-            }));
-        }
-        (out, cost)
+        };
+        drive_adaptive_rows(chunk, policy, max_samples, members_for, chain_mean, charge)
     }
 }
 
@@ -1056,6 +968,66 @@ mod tests {
             let (probs, _, cost) = sim.infer_forked(x.row(r), &eps);
             assert_eq!(res.proba, probs, "row {r} diverged from the ticked model");
             assert!(cost.cycles > 0);
+        }
+    }
+
+    /// The ticked simulator for `vibnn` at `samples` Monte Carlo draws.
+    fn sim_at(vibnn: &Vibnn, samples: usize) -> CycleAccelerator {
+        let mut cfg = vibnn.config().clone();
+        cfg.mc_samples = samples;
+        CycleAccelerator::new(cfg, vibnn.network().clone())
+    }
+
+    #[test]
+    fn every_backend_honours_a_budget_below_the_deployment_default() {
+        let vibnn = tiny_vibnn();
+        assert_eq!(vibnn.mc_samples(), 3);
+        let x = rows();
+        let eps = ZigguratGrng::new(0x2B);
+        for kind in [
+            BackendKind::Software,
+            BackendKind::Quantized,
+            BackendKind::Cycle,
+        ] {
+            let mut b = kind.instantiate::<ZigguratGrng>(&vibnn);
+            let (served, cost) = b.serve_microbatch(&x, 2, &eps, 1);
+            assert_eq!(cost.samples, (x.rows() * 2) as u64, "{kind}");
+            for (r, res) in served.iter().enumerate() {
+                assert_eq!(res.samples_used, 2, "{kind} row {r}");
+                if kind == BackendKind::Cycle {
+                    let (probs, _, _) = sim_at(&vibnn, 2).infer_forked(x.row(r), &eps);
+                    assert_eq!(res.proba, probs, "row {r} diverged from a 2-sample model");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_cost_is_the_ticked_per_row_ledger_exactly() {
+        let vibnn = tiny_vibnn();
+        let x = rows();
+        let eps = ZigguratGrng::new(0x3C);
+        let early = crate::sampler::PolicySpec::EarlyExit { k: 2, min_samples: 1 }.instantiate();
+        let mut backend = BackendKind::Cycle.instantiate::<ZigguratGrng>(&vibnn);
+        let (exact, exact_cost) = backend.serve_microbatch(&x, 3, &eps, 1);
+        let exact = exact.into_iter().map(RowOutcome::Served).collect();
+        let adaptive = backend.serve_adaptive(&x, early.as_ref(), 3, &eps, 1);
+        for (out, cost) in [(exact, exact_cost), adaptive] {
+            // Each row is charged what a simulator configured with that
+            // row's sample count charges, folded in row order.
+            let mut expected = BackendCost::default();
+            for (r, o) in out.iter().enumerate() {
+                let n = o.samples_used() as usize;
+                let (_, _, ticked) = sim_at(&vibnn, n).infer_forked(x.row(r), &eps);
+                expected.accumulate(BackendCost {
+                    cycles: ticked.cycles,
+                    energy_nj: ticked.energy_nj,
+                    samples: n as u64,
+                });
+            }
+            assert_eq!(cost.cycles, expected.cycles);
+            assert_eq!(cost.energy_nj.to_bits(), expected.energy_nj.to_bits());
+            assert_eq!(cost.samples, expected.samples);
         }
     }
 }

@@ -69,7 +69,7 @@ use vibnn_bnn::replica_source;
 use vibnn_grng::{StreamFork, ZigguratGrng};
 use vibnn_nn::Matrix;
 
-use crate::backend::{BackendCost, BackendKind, RowOutcome};
+use crate::backend::{cycles_per_sample, BackendCost, BackendKind, RowOutcome};
 use crate::sampler::PolicySpec;
 use crate::serve::{ServeConfig, ServeEngine, ServeResult};
 use crate::{Vibnn, VibnnError};
@@ -542,13 +542,11 @@ struct ClusterShared<S: StreamFork + Sync> {
     /// entropy histogram (hot swaps keep the founding scale so buckets
     /// stay comparable across versions).
     max_entropy: f64,
-    /// Founding deployment's full Monte Carlo budget — the predicted
-    /// work multiplier for the admission budget gate and the
-    /// `samples_used` histogram length.
-    mc_samples: usize,
-    /// Founding deployment's accelerator clock, for converting a
-    /// predicted cycle count into wall time at admission.
-    clock_mhz: f64,
+    /// Seconds a full-budget pass of one request takes on the founding
+    /// deployment's accelerator: `Schedule` cycles per sample ×
+    /// `mc_samples` at the configured clock — the same cycles a
+    /// `Cycle` replica charges. The admission budget gate's prediction.
+    full_budget_secs: f64,
 }
 
 impl<S: StreamFork + Sync> ClusterShared<S> {
@@ -743,7 +741,8 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
         let input_dim = vibnn.input_dim();
         let max_entropy = (vibnn.classes() as f64).ln();
         let mc_samples = vibnn.mc_samples();
-        let clock_mhz = vibnn.config().clock_mhz;
+        let full_budget_secs = (cycles_per_sample(&vibnn.sim) * mc_samples as u64) as f64
+            / (vibnn.config().clock_mhz * 1e6);
         let fingerprint = checkpoint_fingerprint(&vibnn);
         // Build every replica engine up front so a bad config fails before
         // any thread spawns.
@@ -807,8 +806,7 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
             spill: cfg.spill,
             input_dim,
             max_entropy,
-            mc_samples,
-            clock_mhz,
+            full_budget_secs,
         });
         let dispatchers = engines
             .into_iter()
@@ -874,8 +872,8 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
     /// passed — the request is refused at the admission gate, before an
     /// id is issued or a replica touched — and
     /// [`VibnnError::BudgetExceeded`] when the target replica is a
-    /// [`BackendKind::Cycle`] slot whose cost ledger predicts a
-    /// full-budget pass longer than the time left until `opts.deadline`
+    /// [`BackendKind::Cycle`] slot whose closed-form `Schedule` predicts
+    /// a full-budget pass longer than the time left until `opts.deadline`
     /// (also refused before an id is issued; counted in
     /// [`SamplingStats::budget_shed`]).
     pub fn submit_with(&self, features: Vec<f32>, opts: SubmitOptions) -> Result<u64, VibnnError> {
@@ -939,33 +937,26 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
             // elsewhere could change the result, so refuse instead.
             return Err(VibnnError::EngineStopped);
         };
-        // Cost budget gate: on a cycle-accurate replica whose ledger
-        // already prices a sample, a deadlined request whose remaining
-        // time cannot cover a worst-case full-budget pass is shed now —
-        // typed, counted, and free of Monte Carlo work — instead of
-        // expiring in the queue after burning a dispatch slot. The
-        // prediction uses the slot's observed mean cycles per sample and
-        // the *full* `mc_samples` budget (adaptive policies may finish
-        // earlier, but admission must not bet on it).
-        if let Some(deadline) = opts.deadline {
-            let rep = &st.replicas[target];
-            if rep.backend == BackendKind::Cycle
-                && rep.cost.samples > 0
-                && self.shared.clock_mhz > 0.0
-            {
-                let per_sample = rep.cost.cycles as f64 / rep.cost.samples as f64;
-                let predicted_secs = per_sample * self.shared.mc_samples as f64
-                    / (self.shared.clock_mhz * 1e6);
-                let remaining = deadline
-                    .saturating_duration_since(std::time::Instant::now())
-                    .as_secs_f64();
-                if predicted_secs > remaining {
-                    st.budget_shed += 1;
-                    return Err(VibnnError::BudgetExceeded {
-                        predicted_micros: (predicted_secs * 1e6) as u64,
-                        remaining_micros: (remaining * 1e6) as u64,
-                    });
-                }
+        // Cost budget gate: on a cycle-accurate replica, a deadlined
+        // request whose remaining time cannot cover a worst-case
+        // full-budget pass is shed now — typed, counted, and free of
+        // Monte Carlo work — instead of expiring in the queue after
+        // burning a dispatch slot. The prediction is the closed-form
+        // `Schedule` price of the *full* `mc_samples` budget (adaptive
+        // policies may finish earlier, but admission must not bet on
+        // it), so it holds from the very first request.
+        let on_cycle = st.replicas[target].backend == BackendKind::Cycle;
+        if let Some(deadline) = opts.deadline.filter(|_| on_cycle) {
+            let predicted = self.shared.full_budget_secs;
+            let remaining = deadline
+                .saturating_duration_since(std::time::Instant::now())
+                .as_secs_f64();
+            if predicted > remaining {
+                st.budget_shed += 1;
+                return Err(VibnnError::BudgetExceeded {
+                    predicted_micros: (predicted * 1e6) as u64,
+                    remaining_micros: (remaining * 1e6) as u64,
+                });
             }
         }
         st.next_id += 1;
@@ -1927,5 +1918,63 @@ mod tests {
         assert_eq!(m.replicas[0].version, 1);
         assert_eq!(m.served, 1);
         assert_eq!(m.cancelled, 2);
+    }
+
+    #[test]
+    fn cycle_admission_sheds_on_the_schedule_price_from_the_first_request() {
+        use std::time::{Duration, Instant};
+        use vibnn_hw::{AcceleratorConfig, Schedule};
+        // A 1 Hz accelerator clock prices one full-budget pass at
+        // minutes of modeled time, far from any scheduling jitter.
+        let cfg = AcceleratorConfig {
+            clock_mhz: 1e-6,
+            ..AcceleratorConfig::paper()
+        };
+        let full_budget_cycles = Schedule::new(&cfg, &[3, 6, 2]).cycles_per_sample() * 3;
+        assert!(full_budget_cycles > 30, "the 30 s deadlines must be short");
+        let cluster_on = |kind| {
+            let bnn = Bnn::new(BnnConfig::new(&[3, 6, 2]).with_sigma_init(0.1), 5);
+            let vibnn = VibnnBuilder::new(bnn.params())
+                .config(cfg.clone())
+                .mc_samples(3)
+                .calibration(Matrix::zeros(2, 3))
+                .build()
+                .unwrap();
+            let cluster_cfg = ClusterConfig {
+                backend: Some(kind),
+                ..ClusterConfig::default()
+            };
+            ClusterEngine::new(vibnn, cluster_cfg).unwrap()
+        };
+        let within = |secs| SubmitOptions {
+            deadline: Some(Instant::now() + Duration::from_secs(secs)),
+            ..SubmitOptions::default()
+        };
+
+        // The very first request on a cycle replica is shed: the price
+        // needs no served batch to warm up.
+        let cycle = cluster_on(BackendKind::Cycle);
+        match cycle.submit_with(vec![0.1; 3], within(30)) {
+            Err(VibnnError::BudgetExceeded {
+                predicted_micros,
+                remaining_micros,
+            }) => {
+                assert!(predicted_micros.abs_diff(full_budget_cycles * 1_000_000) <= 1);
+                assert!(remaining_micros <= 30_000_000);
+            }
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+        let m = cycle.metrics();
+        assert_eq!((m.sampling.budget_shed, m.submitted), (1, 0));
+        // An ample deadline is served, under the first id ever issued.
+        let id = cycle.submit_with(vec![0.1; 3], within(3600)).unwrap();
+        assert_eq!(id, 0, "the shed request consumed no id");
+        assert_eq!(cycle.wait(id).unwrap().samples_used, 3);
+
+        // A host replica meters no hardware, so it never sheds.
+        let quantized = cluster_on(BackendKind::Quantized);
+        let id = quantized.submit_with(vec![0.1; 3], within(30)).unwrap();
+        assert!(quantized.wait(id).is_ok());
+        assert_eq!(quantized.metrics().sampling.budget_shed, 0);
     }
 }

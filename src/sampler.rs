@@ -370,16 +370,6 @@ impl RowTracker {
         self.summarize()
     }
 
-    /// [`observe`](Self::observe) for f32 members (the host backends'
-    /// member matrices); each probability is widened to f64 first.
-    pub fn observe_f32(&mut self, member: &[f32]) -> SampleObservation {
-        debug_assert_eq!(member.len(), self.acc.len(), "member width");
-        for (a, &p) in self.acc.iter_mut().zip(member) {
-            *a += f64::from(p);
-        }
-        self.summarize()
-    }
-
     /// Samples folded in so far.
     pub fn drawn(&self) -> u32 {
         self.drawn
@@ -568,16 +558,5 @@ mod tests {
         let _ = tracker.observe(&[0.99, 0.01]);
         let obs = tracker.observe(&[0.99, 0.01]);
         assert_eq!(policy.decide(&obs), SampleDecision::Stop);
-    }
-
-    #[test]
-    fn observe_f32_matches_observe_f64_for_exact_values() {
-        let mut a = RowTracker::new(3, 4);
-        let mut b = RowTracker::new(3, 4);
-        // 0.5/0.25 are exact in both widths, so both trackers see the
-        // identical accumulator and must emit the identical observation.
-        let oa = a.observe(&[0.5, 0.25, 0.25]);
-        let ob = b.observe_f32(&[0.5, 0.25, 0.25]);
-        assert_eq!(oa, ob);
     }
 }
