@@ -41,6 +41,10 @@ cargo test -q --test cluster_determinism
 echo "==> online-determinism suite (full loop bit-identical across thread counts and kill/resume)"
 cargo test -q --test online_determinism
 
+echo "==> kernel-oracle suite (fast QFormat arithmetic and flat quantized kernel == retained pre-rewrite oracles)"
+cargo test -q -p vibnn_fixed kernel_oracle
+cargo test -q -p vibnn_hw kernel_oracle
+
 echo "==> backend-determinism suite (quantized == historical path, cycle == ticked model, mixed-pool attribution)"
 cargo test -q --test backend_determinism
 
@@ -85,7 +89,8 @@ VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_ingest.json" \
 echo "==> VIBNN_SCALE=quick backend bench (software/quantized/cycle, asserts determinism before timing)"
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_backend.json" \
     cargo run --release -p vibnn_bench --bin bench_backend
-for field in cycles_per_request energy_nj_per_request; do
+for field in cycles_per_request energy_nj_per_request energy_nj_per_mac \
+    weight_sample_ns_per_weight forward_ns_per_mac; do
     grep -q "\"$field\"" target/BENCH_backend.json \
         || { echo "FAIL: BENCH_backend.json lacks the $field field"; exit 1; }
 done

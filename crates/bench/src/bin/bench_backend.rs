@@ -5,9 +5,12 @@
 //! backend (the quantized kernel priced by the accelerator's `Schedule`)
 //! — on the same deployment and request stream, at
 //! micro-batch sizes {1, 8, 32}. Reports requests/sec plus the hardware
-//! ledger per request: cycles/request and nJ/request from the
-//! [`vibnn::backend::BackendCost`] the engine accumulates (zero for host
-//! backends by contract).
+//! ledger per request: cycles/request, nJ/request and nJ per simulated
+//! MAC from the [`vibnn::backend::BackendCost`] the engine accumulates
+//! (zero for host backends by contract). The quantized kernel that the
+//! `Quantized` and `Cycle` backends share is also timed per phase at each
+//! micro-batch size, best of 5: weight sampling in ns per sampled weight
+//! (ε draw included) and the integer forward in ns per MAC.
 //!
 //! Before timing anything it asserts the determinism contract: every
 //! backend must be worker-count invariant, the quantized backend must be
@@ -21,7 +24,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use vibnn::bnn::{Bnn, BnnConfig};
-use vibnn::grng::ZigguratGrng;
+use vibnn::grng::{StreamFork, ZigguratGrng};
 use vibnn::hw::CycleAccelerator;
 use vibnn::nn::{GaussianInit, Matrix};
 use vibnn::serve::{ServeConfig, ServeEngine};
@@ -175,9 +178,17 @@ struct Sample {
     rps: f64,
     cycles_per_request: f64,
     energy_nj_per_request: f64,
+    energy_nj_per_mac: f64,
+}
+
+/// MACs of one forward of one row through every layer.
+fn macs_per_row(vibnn: &Vibnn) -> usize {
+    let sizes = vibnn.network().layer_sizes();
+    sizes.windows(2).map(|w| w[0] * w[1]).sum()
 }
 
 fn measure(vibnn: Vibnn, backend: BackendKind, x: &Matrix, max_batch: usize) -> Sample {
+    let macs_per_request = (macs_per_row(&vibnn) * vibnn.mc_samples()) as f64;
     let eng = engine(vibnn, backend, max_batch, 2);
     let start = Instant::now();
     let (results, cost) = eng.submit_batch_costed(x).expect("serve");
@@ -190,6 +201,48 @@ fn measure(vibnn: Vibnn, backend: BackendKind, x: &Matrix, max_batch: usize) -> 
         rps: n / elapsed,
         cycles_per_request: cost.cycles as f64 / n,
         energy_nj_per_request: cost.energy_nj / n,
+        energy_nj_per_mac: cost.energy_nj / n / macs_per_request,
+    }
+}
+
+struct KernelPhases {
+    max_batch: usize,
+    sample_ns_per_weight: f64,
+    forward_ns_per_mac: f64,
+}
+
+/// Times the two phases of the quantized kernel on `max_batch` rows:
+/// `sample_weights_with` (ε draw included, fork construction not) and
+/// `forward_with_weights`, once per MC sample from the sample's own ε
+/// fork, best of 5.
+fn measure_kernel(vibnn: &Vibnn, x: &Matrix, max_batch: usize) -> KernelPhases {
+    let net = vibnn.network();
+    let rows = x.rows_slice(0, max_batch);
+    let samples = vibnn.mc_samples();
+    let sizes = net.layer_sizes();
+    let weights: usize = sizes.windows(2).map(|w| w[0] * w[1] + w[1]).sum();
+    let macs = macs_per_row(vibnn) * rows.rows();
+    let eps = ZigguratGrng::new(EPS_SEED);
+    let mut scratch = Vec::new();
+    let (mut sample_s, mut forward_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let (mut ts, mut tf) = (0.0, 0.0);
+        for s in 0..samples {
+            let mut src = eps.fork(s as u64);
+            let start = Instant::now();
+            let w = net.sample_weights_with(&mut src, &mut scratch);
+            ts += start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            std::hint::black_box(net.forward_with_weights(&rows, &w));
+            tf += start.elapsed().as_secs_f64();
+        }
+        sample_s = sample_s.min(ts);
+        forward_s = forward_s.min(tf);
+    }
+    KernelPhases {
+        max_batch,
+        sample_ns_per_weight: sample_s * 1e9 / (samples * weights) as f64,
+        forward_ns_per_mac: forward_s * 1e9 / (samples * macs) as f64,
     }
 }
 
@@ -220,6 +273,16 @@ fn main() {
             samples.push(s);
         }
     }
+    let kernel: Vec<KernelPhases> = max_batches
+        .iter()
+        .map(|&mb| measure_kernel(&vibnn, &x, mb))
+        .collect();
+    for k in &kernel {
+        println!(
+            "   kernel  max_batch {:3}  {:8.2} ns/weight sampled  {:8.3} ns/MAC forward",
+            k.max_batch, k.sample_ns_per_weight, k.forward_ns_per_mac
+        );
+    }
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"scale\": \"{scale:?}\",");
@@ -238,13 +301,27 @@ fn main() {
             "    {{\"backend\": \"{:?}\", \"max_batch\": {}, \
              \"requests_per_sec\": {:.1}, \
              \"cycles_per_request\": {:.1}, \
-             \"energy_nj_per_request\": {:.3}}}{}",
+             \"energy_nj_per_request\": {:.3}, \
+             \"energy_nj_per_mac\": {:.6}}}{}",
             s.backend,
             s.max_batch,
             s.rps,
             s.cycles_per_request,
             s.energy_nj_per_request,
+            s.energy_nj_per_mac,
             if i + 1 < samples.len() { "," } else { "" },
+        );
+    }
+    json.push_str("  ],\n  \"quantized_kernel\": [\n");
+    for (i, k) in kernel.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"max_batch\": {}, \"weight_sample_ns_per_weight\": {:.2}, \
+             \"forward_ns_per_mac\": {:.3}}}{}",
+            k.max_batch,
+            k.sample_ns_per_weight,
+            k.forward_ns_per_mac,
+            if i + 1 < kernel.len() { "," } else { "" },
         );
     }
     json.push_str("  ]\n}\n");

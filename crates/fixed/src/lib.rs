@@ -87,16 +87,22 @@ impl QFormat {
 
     /// Quantizes with round-to-nearest (ties away from zero) and
     /// saturation. NaN maps to zero.
+    ///
+    /// Bit-identical to `(x·2^frac).round()` clamped to the raw range, but
+    /// branch-free and without the `round` libm call. The scaled value is
+    /// clamped to the raw range *before* rounding: rounding is monotone
+    /// and keeps integers, so that cannot change the result, and ±∞ and
+    /// values beyond `2^52` (already integers) land on a bound. It is
+    /// then truncated, and the exact fraction `x − trunc(x)` moves it one
+    /// step away from zero when `|fraction| >= 0.5`, which stays inside
+    /// the range. NaN survives the clamp and truncates to 0 with a NaN
+    /// fraction that moves nothing.
     pub fn quantize(&self, x: f64) -> i32 {
-        if x.is_nan() {
-            return 0;
-        }
-        let scaled = x * self.scale();
-        let rounded = scaled.round();
-        let clamped = rounded
-            .max(f64::from(self.min_raw()))
-            .min(f64::from(self.max_raw()));
-        clamped as i32
+        let (lo, hi) = (f64::from(self.min_raw()), f64::from(self.max_raw()));
+        let scaled = (x * self.scale()).clamp(lo, hi);
+        let t = scaled as i32;
+        let fr = scaled - f64::from(t);
+        t + i32::from(fr >= 0.5) - i32::from(fr <= -0.5)
     }
 
     /// Converts a raw value back to real.
@@ -119,11 +125,25 @@ impl QFormat {
     /// with **ties away from zero**, matching [`Self::quantize`]'s
     /// documented behaviour (the old `(raw + half) >> shift` rounded
     /// negative ties toward +∞, a 1-LSB disagreement on exact half-LSB
-    /// negative values), and saturates. The arithmetic is carried out in
-    /// `i128`, so neither the rounding bias addition nor an up-shift of a
-    /// large accumulator can overflow.
+    /// negative values), and saturates.
+    ///
+    /// Down-shifts of `1..=62` bits on `|raw| < 2^62` — the datapath's
+    /// usual case at any B ≤ 16 — take an `i64` path that
+    /// rounds the magnitude and restores the sign with masks instead of a
+    /// branch (the sign of `σ·ε` is random, so a branch mispredicts about
+    /// half the time); `|raw| + half < 2^63` keeps it exact. Every other
+    /// case is carried out in `i128`, so neither the rounding bias
+    /// addition nor an up-shift of a large accumulator can overflow. Both
+    /// paths give the same results.
     pub fn requantize(&self, raw: i64, from_frac: u32) -> i32 {
         let shift = i64::from(from_frac) - i64::from(self.frac);
+        if (1..=62).contains(&shift) && raw.unsigned_abs() < 1 << 62 {
+            let half = 1i64 << (shift - 1);
+            let neg = raw >> 63; // 0 or -1
+            let mag = (raw ^ neg) - neg;
+            let rounded = (((mag + half) >> shift) ^ neg) - neg;
+            return self.saturate(rounded);
+        }
         let adjusted: i128 = if shift > 127 {
             // |raw| < 2^63 ≤ half: everything rounds to zero.
             0
@@ -254,6 +274,169 @@ pub fn relu_raw(raw: i32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-rewrite `QFormat::quantize` body (libm `round`, then
+    /// clamp), retained as the oracle the branch-free version is pinned to.
+    fn quantize_reference(q: QFormat, x: f64) -> i32 {
+        if x.is_nan() {
+            return 0;
+        }
+        let rounded = (x * q.scale()).round();
+        rounded
+            .max(f64::from(q.min_raw()))
+            .min(f64::from(q.max_raw())) as i32
+    }
+
+    /// The pre-rewrite `QFormat::requantize` body (all-`i128`, sign
+    /// branch), retained as the oracle for the `i64` fast path.
+    fn requantize_reference(q: QFormat, raw: i64, from_frac: u32) -> i32 {
+        let shift = i64::from(from_frac) - i64::from(q.frac_bits());
+        let adjusted: i128 = if shift > 127 {
+            0
+        } else if shift > 0 {
+            let half = 1i128 << (shift - 1);
+            let wide = i128::from(raw);
+            if wide >= 0 {
+                (wide + half) >> shift
+            } else {
+                -((-wide + half) >> shift)
+            }
+        } else {
+            i128::from(raw) << (-shift)
+        };
+        adjusted.clamp(i128::from(q.min_raw()), i128::from(q.max_raw())) as i32
+    }
+
+    /// Every format the datapath can be configured with.
+    fn all_formats() -> impl Iterator<Item = QFormat> {
+        (2..=32u32).flat_map(|total| (0..total).map(move |frac| QFormat::new(total, frac)))
+    }
+
+    /// `x` and its ±1-ulp neighbours (`x` itself if it is not finite).
+    fn with_neighbours(x: f64) -> [f64; 3] {
+        if !x.is_finite() || x == 0.0 {
+            return [x, x, x];
+        }
+        let b = x.to_bits();
+        [f64::from_bits(b - 1), x, f64::from_bits(b + 1)]
+    }
+
+    #[test]
+    fn kernel_oracle_quantize_matches_reference() {
+        let two52 = (1u64 << 52) as f64;
+        let mut specials = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            0.5,
+            -0.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+        ];
+        for m in [two52, 2.0 * two52, two52 / 2.0] {
+            for d in [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5] {
+                specials.push(m + d);
+                specials.push(-(m + d));
+            }
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for q in all_formats() {
+            let scale = q.scale();
+            let mut xs: Vec<f64> = specials.clone();
+            // Exact ties k + 1/2 LSB and their neighbours, across and past
+            // the saturation bounds.
+            let (lo, hi) = (i64::from(q.min_raw()), i64::from(q.max_raw()));
+            for k in (-6..=6).chain(lo - 3..=lo + 3).chain(hi - 3..=hi + 3) {
+                for tie in [k as f64 + 0.5, k as f64 - 0.5, k as f64] {
+                    xs.extend(with_neighbours(tie / scale));
+                }
+            }
+            // The ±2^52 neighbourhood in this format's scaled domain.
+            for &v in &specials {
+                xs.extend(with_neighbours(v / scale));
+            }
+            // A pseudo-random sweep over the format's range.
+            for _ in 0..200 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                xs.push((u * 2.0 - 1.0) * q.max_value() * 1.25);
+            }
+            for x in xs {
+                assert_eq!(
+                    q.quantize(x),
+                    quantize_reference(q, x),
+                    "quantize({x:e} = {:#x}) in {q:?}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_oracle_requantize_matches_reference() {
+        let p62 = 1i64 << 62;
+        let mut raws = vec![
+            0,
+            1,
+            -1,
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX,
+            i64::MAX - 1,
+            p62,
+            p62 - 1,
+            p62 + 1,
+            -p62,
+            -p62 - 1,
+            -p62 + 1,
+        ];
+        // Exact ties and neighbours for every shift the fast path takes.
+        for s in 1..=62 {
+            let half = 1i64 << (s - 1);
+            for k in [-3i64, -1, 0, 1, 3] {
+                let base = k.wrapping_mul(1i64 << s);
+                for d in [-1, 0, 1] {
+                    raws.push(base.wrapping_add(half + d));
+                    raws.push(base.wrapping_sub(half + d));
+                }
+            }
+        }
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        for _ in 0..400 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Spread magnitudes over every bit width.
+            raws.push((state as i64) >> (state % 64));
+        }
+        let from_fracs: Vec<u32> = (0..=70)
+            .chain([94, 100, 126, 127, 128, 129, 200, u32::MAX - 1, u32::MAX])
+            .collect();
+        for total in [2u32, 3, 4, 8, 12, 16, 24, 31, 32] {
+            for frac in [0, 1, total / 2, total - 1] {
+                let q = QFormat::new(total, frac);
+                for &from in &from_fracs {
+                    for &raw in &raws {
+                        assert_eq!(
+                            q.requantize(raw, from),
+                            requantize_reference(q, raw, from),
+                            "requantize({raw}, {from}) in {q:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn quantize_roundtrip_within_half_lsb() {

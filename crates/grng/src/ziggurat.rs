@@ -114,6 +114,17 @@ impl GaussianSource for ZigguratGrng {
         Self::draw(&self.x, &self.y, &mut self.uniform)
     }
 
+    /// Hoists the uniform state into a local for the duration of the
+    /// fill, as [`Self::fill_f32`] does, instead of the trait's
+    /// per-scalar default. Identical stream: one draw per slot, in order.
+    fn fill(&mut self, out: &mut [f64]) {
+        let mut rng = self.uniform;
+        for slot in out {
+            *slot = Self::draw(&self.x, &self.y, &mut rng);
+        }
+        self.uniform = rng;
+    }
+
     /// Writes each sample straight into the `f32` slice instead of
     /// round-tripping 256-element `f64` chunks through the trait's default
     /// (which cost ~10% block throughput versus the scalar path — the

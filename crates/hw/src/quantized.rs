@@ -21,9 +21,29 @@
 //! inside the datapath are integer arithmetic — exact and associative —
 //! so quantized forward passes themselves are unaffected by the lane
 //! rule; only the float averaging step follows it.
+//!
+//! # Host kernel
+//!
+//! [`QuantizedBnn::sample_weights_with`] runs the weight generator as one
+//! straight pass per table over µ, σ and a block of ε, through the
+//! branch-free fast paths of `QFormat::quantize` and
+//! `QFormat::requantize`. [`QuantizedBnn::forward_with_weights`] keeps
+//! activations in flat row-major `i32` buffers and makes the input index
+//! the outer loop, so each activation scales one *contiguous* weight row
+//! into a vector of per-output accumulators; zero activations are
+//! skipped. The accumulator is `i32` wherever the formats bound every
+//! partial sum below `2^31` (the paper's B = 8 network) and `i64`
+//! otherwise. Integer addition is exact, so neither the loop order, the
+//! skip nor the width changes a bit: the ticked
+//! [`crate::CycleAccelerator`] keeps the strided per-neuron
+//! `MacAccumulator` loop of the hardware's PE array and is the
+//! independent oracle the kernel is pinned to, along with the retained
+//! pre-rewrite kernel in this module's tests.
+
+use std::ops::{Add, Mul, Shl};
 
 use vibnn_bnn::{parallel_fork_map, reduce_mean, BnnParams};
-use vibnn_fixed::{choose_format, MacAccumulator, QFormat};
+use vibnn_fixed::{choose_format, QFormat};
 use vibnn_grng::{GaussianSource, StreamFork};
 use vibnn_nn::{softmax_rows, Matrix};
 
@@ -97,6 +117,67 @@ struct QLayer {
     sigma: Vec<i32>,
     bias_mu: Vec<i32>,
     bias_sigma: Vec<i32>,
+}
+
+/// Whether an `i32` accumulator holds every partial sum of a layer with
+/// `in_dim` inputs: `in_dim` products of at most `2^(B_act−1) · 2^(B_w−1)`
+/// plus the bias `2^(B_w−1) · 2^act_f` stay below `2^31`.
+fn i32_accumulator_fits(spec: &QuantizationSpec, in_dim: usize) -> bool {
+    let act_max = 1u128 << (spec.act_fmt.total_bits() - 1);
+    let w_max = 1u128 << (spec.weight_fmt.total_bits() - 1);
+    let bound = in_dim as u128 * act_max * w_max + (w_max << spec.act_fmt.frac_bits());
+    bound < 1 << 31
+}
+
+/// Whether every raw value in `v` lies in `fmt`'s range, the premise of
+/// [`i32_accumulator_fits`] for caller-supplied weights.
+fn in_format(fmt: QFormat, v: &[i32]) -> bool {
+    let (lo, hi) = v.iter().fold((0, 0), |(lo, hi), &x| (x.min(lo), x.max(hi)));
+    lo >= fmt.min_raw() && hi <= fmt.max_raw()
+}
+
+/// One layer of [`QuantizedBnn::forward_with_weights`] on flat buffers:
+/// maps row-major `rows × in_dim` activations through the row-major
+/// `in_dim × out_dim` table `w` and the biases `b` to `rows × out_dim`,
+/// accumulating in `A` (`i32` only under [`i32_accumulator_fits`]).
+fn dense_layer<A>(
+    act: &[i32],
+    w: &[i32],
+    b: &[i32],
+    spec: &QuantizationSpec,
+    relu: bool,
+) -> Vec<i32>
+where
+    A: Copy + From<i32> + Into<i64> + Add<Output = A> + Mul<Output = A> + Shl<u32, Output = A>,
+{
+    let (act_f, w_f) = (spec.act_fmt.frac_bits(), spec.weight_fmt.frac_bits());
+    let out_dim = b.len();
+    let in_dim = w.len() / out_dim;
+    let mut out = Vec::with_capacity(act.len() / in_dim * out_dim);
+    let mut acc: Vec<A> = Vec::with_capacity(out_dim);
+    for x in act.chunks_exact(in_dim) {
+        // Bias enters at the accumulator scale (act_f + w_f).
+        acc.clear();
+        acc.extend(b.iter().map(|&b| A::from(b) << act_f));
+        for (&xi, w_row) in x.iter().zip(w.chunks_exact(out_dim)) {
+            if xi == 0 {
+                continue;
+            }
+            let xi = A::from(xi);
+            for (a, &wj) in acc.iter_mut().zip(w_row) {
+                *a = *a + xi * A::from(wj);
+            }
+        }
+        out.extend(acc.iter().map(|&a| {
+            let v = spec.act_fmt.requantize(a.into(), act_f + w_f);
+            if relu {
+                vibnn_fixed::relu_raw(v)
+            } else {
+                v
+            }
+        }));
+    }
+    out
 }
 
 /// A BNN deployed on the fixed-point datapath.
@@ -240,27 +321,26 @@ impl QuantizedBnn {
             .max()
             .unwrap_or(0);
         eps.resize(max_len, 0.0);
-        let sample_into = |dst: &mut Vec<i32>, mu: &[i32], sigma: &[i32], eps: &[f64]| {
-            for ((&mu, &sg), &e) in mu.iter().zip(sigma).zip(eps) {
-                let e = spec.eps_fmt.quantize(e);
-                let noise = spec
-                    .weight_fmt
-                    .requantize(i64::from(sg) * i64::from(e), prod_frac);
-                dst.push(spec.weight_fmt.saturate(i64::from(mu) + i64::from(noise)));
-            }
+        let mut sample = |mu: &[i32], sigma: &[i32]| -> Vec<i32> {
+            let eps = &mut eps[..mu.len()];
+            eps_src.fill(eps);
+            mu.iter()
+                .zip(sigma)
+                .zip(eps.iter())
+                .map(|((&mu, &sg), &e)| {
+                    let e = spec.eps_fmt.quantize(e);
+                    let noise = spec
+                        .weight_fmt
+                        .requantize(i64::from(sg) * i64::from(e), prod_frac);
+                    spec.weight_fmt.saturate(i64::from(mu) + i64::from(noise))
+                })
+                .collect()
         };
         self.layers
             .iter()
             .map(|layer| {
-                let n = layer.mu.len();
-                eps_src.fill(&mut eps[..n]);
-                let mut w = Vec::with_capacity(n);
-                sample_into(&mut w, &layer.mu, &layer.sigma, &eps[..n]);
-                let nb = layer.bias_mu.len();
-                eps_src.fill(&mut eps[..nb]);
-                let mut b = Vec::with_capacity(nb);
-                sample_into(&mut b, &layer.bias_mu, &layer.bias_sigma, &eps[..nb]);
-                (w, b)
+                let w = sample(&layer.mu, &layer.sigma);
+                (w, sample(&layer.bias_mu, &layer.bias_sigma))
             })
             .collect()
     }
@@ -268,57 +348,59 @@ impl QuantizedBnn {
     /// Forward pass of one batch through one sampled weight set; returns
     /// dequantized logits. This is the reference semantics the cycle
     /// simulator must match bit-for-bit.
+    ///
+    /// `weights` holds one `(table, bias)` pair per layer, as
+    /// [`Self::sample_weights`] returns them: a row-major
+    /// `in_dim × out_dim` table and `out_dim` biases.
+    ///
+    /// Activations live in one flat row-major `i32` buffer per layer.
+    /// For each input row the layer seeds one accumulator per output
+    /// with `bias << act_f`, then walks the weight table one contiguous
+    /// row `w[i·out_dim..(i+1)·out_dim]` at a time, adding `x_i · w_i,·`
+    /// to every accumulator; zero activations (ReLU outputs, blank
+    /// pixels) are skipped, which is exact because integer addition is.
+    /// Each output is requantized once. The accumulator is `i32` when
+    /// the formats bound every partial sum below `2^31`
+    /// (`in_dim · 2^(B_act−1) · 2^(B_w−1) + 2^(B_w−1) · 2^act_f < 2^31`,
+    /// true for the paper's B = 8 network) and the layer's weights lie in
+    /// the weight format, as sampled ones always do; otherwise it is
+    /// `i64`, with `MacAccumulator`'s overflow semantics. Both widths give
+    /// the bits of a single `i64` accumulator. The ticked
+    /// [`crate::CycleAccelerator`] keeps the strided per-neuron
+    /// `MacAccumulator` loop and is pinned to this function bit for bit,
+    /// an independent oracle for the forward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `weights` do not match the network's shapes.
     pub fn forward_with_weights(
         &self,
         x: &Matrix,
         weights: &[(Vec<i32>, Vec<i32>)],
     ) -> Matrix {
         assert_eq!(weights.len(), self.layers.len(), "weight set mismatch");
+        assert_eq!(x.cols(), self.layers[0].in_dim, "activation width mismatch");
         let spec = &self.spec;
-        let act_f = spec.act_fmt.frac_bits();
-        let w_f = spec.weight_fmt.frac_bits();
-        // Quantize inputs.
-        let mut act: Vec<Vec<i32>> = (0..x.rows())
-            .map(|r| {
-                x.row(r)
-                    .iter()
-                    .map(|&v| spec.act_fmt.quantize_f32(v))
-                    .collect()
-            })
-            .collect();
+        let mut act: Vec<i32> = x.data().iter().map(|&v| spec.act_fmt.quantize_f32(v)).collect();
         let last = self.layers.len() - 1;
         for (l, (layer, (w, b))) in self.layers.iter().zip(weights).enumerate() {
-            let mut next: Vec<Vec<i32>> = Vec::with_capacity(act.len());
-            for row in &act {
-                assert_eq!(row.len(), layer.in_dim, "activation width mismatch");
-                let mut out_row = Vec::with_capacity(layer.out_dim);
-                for j in 0..layer.out_dim {
-                    let mut acc = MacAccumulator::new();
-                    for (i, &xi) in row.iter().enumerate() {
-                        acc.mac(xi, w[i * layer.out_dim + j]);
-                    }
-                    // Bias enters at the accumulator scale (act_f + w_f):
-                    // shift the weight-format bias by act_f.
-                    acc.add_raw(i64::from(b[j]) << act_f);
-                    let mut v = spec.act_fmt.requantize(acc.raw(), act_f + w_f);
-                    if l < last {
-                        v = vibnn_fixed::relu_raw(v);
-                    }
-                    out_row.push(v);
-                }
-                next.push(out_row);
-            }
-            act = next;
+            assert_eq!(w.len(), layer.mu.len(), "weight table shape mismatch");
+            assert_eq!(b.len(), layer.out_dim, "bias shape mismatch");
+            let relu = l < last;
+            act = if i32_accumulator_fits(spec, layer.in_dim)
+                && in_format(spec.weight_fmt, w)
+                && in_format(spec.weight_fmt, b)
+            {
+                dense_layer::<i32>(&act, w, b, spec, relu)
+            } else {
+                dense_layer::<i64>(&act, w, b, spec, relu)
+            };
         }
-        // Dequantize logits.
-        let out_dim = self.layers[last].out_dim;
-        let mut logits = Matrix::zeros(act.len(), out_dim);
-        for (r, row) in act.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                logits[(r, c)] = spec.act_fmt.dequantize(v) as f32;
-            }
-        }
-        logits
+        Matrix::from_vec(
+            x.rows(),
+            self.layers[last].out_dim,
+            act.iter().map(|&v| spec.act_fmt.dequantize(v) as f32).collect(),
+        )
     }
 
     /// Monte Carlo predictive probabilities on the fixed-point datapath
@@ -456,6 +538,163 @@ mod tests {
             bnn.train_epoch(&x, &y, 64);
         }
         (bnn, x, y)
+    }
+
+    /// The pre-rewrite per-element weight generator: one `fill` per
+    /// table, then `quantize`, `requantize` and `saturate` per weight.
+    /// The arithmetic itself is pinned by `vibnn_fixed`'s oracle tests.
+    fn sample_weights_oracle(
+        q: &QuantizedBnn,
+        eps_src: &mut impl GaussianSource,
+    ) -> Vec<(Vec<i32>, Vec<i32>)> {
+        let spec = &q.spec;
+        let prod_frac = spec.sigma_fmt.frac_bits() + spec.eps_fmt.frac_bits();
+        let mut sample = |mu: &[i32], sigma: &[i32]| {
+            let mut eps = vec![0.0; mu.len()];
+            eps_src.fill(&mut eps);
+            let mut dst = Vec::new();
+            for i in 0..mu.len() {
+                let e = spec.eps_fmt.quantize(eps[i]);
+                let noise = spec
+                    .weight_fmt
+                    .requantize(i64::from(sigma[i]) * i64::from(e), prod_frac);
+                dst.push(spec.weight_fmt.saturate(i64::from(mu[i]) + i64::from(noise)));
+            }
+            dst
+        };
+        q.layers
+            .iter()
+            .map(|l| (sample(&l.mu, &l.sigma), sample(&l.bias_mu, &l.bias_sigma)))
+            .collect()
+    }
+
+    /// The pre-rewrite forward: `Vec<Vec<i32>>` rows, one
+    /// `MacAccumulator` per output, weights walked with stride `out_dim`.
+    fn forward_oracle(q: &QuantizedBnn, x: &Matrix, weights: &[(Vec<i32>, Vec<i32>)]) -> Matrix {
+        let spec = &q.spec;
+        let (act_f, w_f) = (spec.act_fmt.frac_bits(), spec.weight_fmt.frac_bits());
+        let mut act: Vec<Vec<i32>> = (0..x.rows())
+            .map(|r| x.row(r).iter().map(|&v| spec.act_fmt.quantize_f32(v)).collect())
+            .collect();
+        let last = q.layers.len() - 1;
+        for (l, (layer, (w, b))) in q.layers.iter().zip(weights).enumerate() {
+            act = act
+                .iter()
+                .map(|row| {
+                    (0..layer.out_dim)
+                        .map(|j| {
+                            let mut acc = vibnn_fixed::MacAccumulator::new();
+                            for (i, &xi) in row.iter().enumerate() {
+                                acc.mac(xi, w[i * layer.out_dim + j]);
+                            }
+                            acc.add_raw(i64::from(b[j]) << act_f);
+                            let v = spec.act_fmt.requantize(acc.raw(), act_f + w_f);
+                            if l < last {
+                                vibnn_fixed::relu_raw(v)
+                            } else {
+                                v
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+        }
+        let mut logits = Matrix::zeros(act.len(), q.layers[last].out_dim);
+        for (r, row) in act.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                logits[(r, c)] = spec.act_fmt.dequantize(v) as f32;
+            }
+        }
+        logits
+    }
+
+    const ORACLE_BIT_LENS: [u32; 7] = [3, 4, 8, 12, 16, 24, 32];
+
+    /// A [40, 24, 3] network with widened σ (so sampled weights also
+    /// saturate) and inputs mixing zeros, negatives and out-of-range
+    /// values.
+    fn oracle_fixture() -> (BnnParams, Matrix) {
+        let mut params = Bnn::new(BnnConfig::new(&[40, 24, 3]), 41).params();
+        for s in &mut params.weight_sigma {
+            s.scale(8.0);
+        }
+        let (mut x, _) = toy_data(12, 43);
+        x = Matrix::from_vec(
+            6,
+            40,
+            (0..240)
+                .map(|k| match k % 5 {
+                    0 | 3 => 0.0,
+                    _ => x.data()[k % x.data().len()] * (1 + k % 7) as f32,
+                })
+                .collect(),
+        );
+        (params, x)
+    }
+
+    #[test]
+    fn kernel_oracle_accumulator_width_rule() {
+        let (params, x) = oracle_fixture();
+        let spec = |bits| *QuantizedBnn::from_params(&params, bits, &x).spec();
+        // The paper's B = 8 MNIST layers fit i32; B >= 16 needs i64.
+        assert!(i32_accumulator_fits(&spec(8), 784));
+        assert!(i32_accumulator_fits(&spec(12), 40));
+        assert!(!i32_accumulator_fits(&spec(12), 784));
+        assert!(!i32_accumulator_fits(&spec(16), 40));
+        assert!(!i32_accumulator_fits(&spec(32), 3));
+    }
+
+    #[test]
+    fn kernel_oracle_sampled_forward_matches_pre_rewrite_kernel() {
+        let (params, x) = oracle_fixture();
+        let eps = BoxMullerGrng::new(47);
+        for bits in ORACLE_BIT_LENS {
+            let q = QuantizedBnn::from_params(&params, bits, &x);
+            let mut scratch = Vec::new();
+            for s in 0..4 {
+                let got = q.sample_weights_with(&mut eps.fork(s), &mut scratch);
+                let want = sample_weights_oracle(&q, &mut eps.fork(s));
+                assert_eq!(got, want, "B={bits} sample {s}: weights");
+                let bits_of = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits_of(&q.forward_with_weights(&x, &got)),
+                    bits_of(&forward_oracle(&q, &x, &want)),
+                    "B={bits} sample {s}: logits"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_oracle_forward_matches_at_weight_extremes() {
+        // Every weight and bias at one end of the weight format and every
+        // input saturated: the largest partial sums either accumulator
+        // width sees. Weights outside the format (a caller's, not the
+        // generator's) must fall back to i64. B = 32 is left out only
+        // because 40 products of 2^62 overflow the oracle's checked i64
+        // accumulator in debug.
+        let (params, calib) = oracle_fixture();
+        let x = Matrix::from_vec(
+            3,
+            40,
+            (0..120).map(|k| [1e9f32, -1e9, 0.0][k % 3]).collect(),
+        );
+        for bits in [3u32, 4, 8, 12, 16, 24] {
+            let q = QuantizedBnn::from_params(&params, bits, &calib);
+            let fmt = q.spec().weight_fmt;
+            for w in [fmt.min_raw(), fmt.max_raw(), i32::MIN, i32::MAX] {
+                let weights: Vec<_> = q
+                    .layers
+                    .iter()
+                    .map(|l| (vec![w; l.mu.len()], vec![w; l.out_dim]))
+                    .collect();
+                assert_eq!(
+                    q.forward_with_weights(&x, &weights).data(),
+                    forward_oracle(&q, &x, &weights).data(),
+                    "B={bits} w={w}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! [`CycleAccelerator`] executes a quantized BNN inference the way the
 //! hardware does — PE-set by PE-set, iteration by iteration — while
 //! counting cycles and memory traffic. Its numeric outputs are
-//! bit-identical to [`crate::QuantizedBnn::forward_with_weights`] (same
-//! integer arithmetic, same order), and its cycle count equals the
-//! closed-form [`crate::Schedule`]; both equivalences are enforced by
-//! tests.
+//! bit-identical to [`crate::QuantizedBnn::forward_with_weights`] (the
+//! same integer products and one requantize per output; the flat kernel
+//! sums them in another order, which exact integer addition cannot
+//! see), and its cycle count equals the closed-form [`crate::Schedule`];
+//! both equivalences are enforced by tests.
 
 use vibnn_fixed::MacAccumulator;
 use vibnn_grng::{GaussianSource, StreamFork};

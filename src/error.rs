@@ -89,10 +89,10 @@ pub enum VibnnError {
         entropy_milli: u32,
     },
     /// Admission predicted the request cannot finish before its
-    /// deadline: the target replica's observed per-sample cycle cost
-    /// times the configured sample budget exceeds the deadline's
-    /// remaining time, so the request is shed before costing any Monte
-    /// Carlo work.
+    /// deadline: on a `Cycle` replica, the closed-form price of a
+    /// full-budget pass (`Schedule::cycles_per_sample() × mc_samples`
+    /// at the configured clock) exceeds the deadline's remaining time,
+    /// so the request is shed before costing any Monte Carlo work.
     BudgetExceeded {
         /// Predicted time to serve the request, in microseconds.
         predicted_micros: u64,
